@@ -22,7 +22,8 @@ pub fn greedy_connected_dominating_set(topo: &Topology, root: NodeId) -> NodeSet
     let mut cds = NodeSet::new(n);
     let mut covered = NodeSet::new(n);
     cds.insert(root.idx());
-    covered.union_with(topo.closed_neighbor_set(root));
+    covered.insert(root.idx());
+    topo.insert_neighbors(root, &mut covered);
 
     // Phase 1: dominate. Coverage gains only shrink as `covered` grows, so
     // a lazily re-evaluated max-heap reproduces the full-scan greedy
@@ -175,7 +176,7 @@ mod tests {
             // Domination: every node is in the CDS or adjacent to a member.
             for u in topo.nodes() {
                 assert!(
-                    cds.contains(u.idx()) || topo.neighbor_set(u).intersects(&cds),
+                    cds.contains(u.idx()) || topo.neighbors_in(u, &cds).next().is_some(),
                     "node {u} undominated"
                 );
             }

@@ -1,9 +1,8 @@
-//! Parallel-engine benches: parallel vs serial unit-disk construction,
-//! parallel conflict full builds, and portfolio anytime search across
-//! thread counts. Doubles as the CI smoke (`--test`): every setup asserts
-//! the parallel path is bit-identical to the serial one (construction) or
-//! never worse (portfolio under an iteration budget), independent of how
-//! many cores the machine actually has.
+//! Parallel-engine benches: parallel conflict full builds and portfolio
+//! anytime search across thread counts. Doubles as the CI smoke (`--test`):
+//! every setup asserts the parallel path is bit-identical to the serial one
+//! (conflict build) or never worse (portfolio under an iteration budget),
+//! independent of how many cores the machine actually has.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -13,35 +12,7 @@ use wsn_dutycycle::AlwaysAwake;
 use wsn_interference::ConflictGraphBuilder;
 use wsn_phy::ProtocolModel;
 use wsn_topology::deploy::SyntheticDeployment;
-use wsn_topology::{NodeId, Topology};
-
-fn bench_parallel_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_unit_disk");
-    group.sample_size(10);
-    for nodes in [5_000usize, 20_000] {
-        let (topo, _) = SyntheticDeployment::scaled(nodes).sample(3);
-        let positions = topo.positions().to_vec();
-        let radius = topo.radius();
-        // CI smoke: bit-identity against the serial build.
-        let serial = Topology::unit_disk(positions.clone(), radius);
-        for threads in [1usize, 4] {
-            let par = Topology::unit_disk_parallel(positions.clone(), radius, threads);
-            assert_eq!(
-                par.csr(),
-                serial.csr(),
-                "threads {threads}: adjacency drifted"
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("n{nodes}"), threads),
-                &threads,
-                |b, &t| {
-                    b.iter(|| Topology::unit_disk_parallel(black_box(positions.clone()), radius, t))
-                },
-            );
-        }
-    }
-    group.finish();
-}
+use wsn_topology::NodeId;
 
 fn bench_parallel_conflict_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_conflict_build");
@@ -110,10 +81,5 @@ fn bench_portfolio(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_parallel_construction,
-    bench_parallel_conflict_build,
-    bench_portfolio
-);
+criterion_group!(benches, bench_parallel_conflict_build, bench_portfolio);
 criterion_main!(benches);

@@ -73,13 +73,15 @@ fn broadcast_trajectory(topo: &Topology, src: NodeId) -> Vec<(Vec<NodeId>, NodeS
         for probe in 0..3usize {
             let relay = candidates[probe * candidates.len().div_ceil(4) % candidates.len()];
             let mut child = uninformed.clone();
-            child.difference_with(topo.neighbor_set(relay));
+            for &w in topo.neighbors(relay) {
+                child.remove(w.idx());
+            }
             steps.push((candidates.clone(), child));
         }
         steps.push((candidates.clone(), uninformed.clone()));
         let classes = wsn_coloring::greedy_coloring_of_candidates(topo, &informed, &candidates);
         for &u in &classes[0] {
-            informed.union_with(topo.neighbor_set(u));
+            topo.insert_neighbors(u, &mut informed);
         }
         if informed.is_full() {
             break;

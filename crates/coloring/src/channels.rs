@@ -90,7 +90,7 @@ pub fn pack_channels_ordered(
     for &u in seed {
         let i = cg.index_of(u).expect("seed member is a candidate");
         taken.insert(i);
-        covered.union_with(topo.neighbor_set(u));
+        topo.insert_neighbors(u, &mut covered);
     }
     covered.intersect_with(uninformed);
 
@@ -104,15 +104,18 @@ pub fn pack_channels_ordered(
         }
         let u = cg.node(i);
         // Only senders that still cover someone new earn a channel.
-        let mut fresh = topo.neighbor_set(u).intersection(uninformed);
-        fresh.difference_with(&covered);
-        if fresh.is_empty() {
+        if topo
+            .neighbors_in(u, uninformed)
+            .all(|w| covered.contains(w.idx()))
+        {
             continue;
         }
         for (c, group) in groups.iter_mut().enumerate() {
             if !cg.conflicts_with_set(i, group) {
                 group.insert(i);
-                covered.union_with(&fresh);
+                for w in topo.neighbors_in(u, uninformed) {
+                    covered.insert(w.idx());
+                }
                 assigned.push((u, (c + 1) as u8));
                 break;
             }

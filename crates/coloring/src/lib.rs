@@ -51,7 +51,7 @@ pub fn eligible_senders(topo: &Topology, informed: &NodeSet) -> Vec<NodeId> {
     informed
         .iter()
         .map(|u| NodeId(u as u32))
-        .filter(|&u| topo.neighbor_set(u).intersects(&uninformed))
+        .filter(|&u| topo.neighbors_in(u, &uninformed).next().is_some())
         .collect()
 }
 
@@ -68,7 +68,7 @@ pub fn eligible_awake_senders<S: WakeSchedule>(
         .iter()
         .map(|u| NodeId(u as u32))
         .filter(|&u| {
-            schedule.can_send(u.idx(), slot) && topo.neighbor_set(u).intersects(&uninformed)
+            schedule.can_send(u.idx(), slot) && topo.neighbors_in(u, &uninformed).next().is_some()
         })
         .collect()
 }
@@ -77,13 +77,16 @@ pub fn eligible_awake_senders<S: WakeSchedule>(
 /// (`|N(u) ∩ W̄|`, the greedy sort key of Eq. 2).
 #[inline]
 pub fn receiver_count(topo: &Topology, u: NodeId, uninformed: &NodeSet) -> usize {
-    topo.neighbor_set(u).intersection_len(uninformed)
+    topo.neighbors_in(u, uninformed).count()
 }
 
 /// The uninformed nodes a relay from `u` covers (`N(u) ∩ W̄`).
 #[inline]
 pub fn receivers(topo: &Topology, u: NodeId, uninformed: &NodeSet) -> NodeSet {
-    topo.neighbor_set(u).intersection(uninformed)
+    NodeSet::from_indices(
+        uninformed.universe(),
+        topo.neighbors_in(u, uninformed).map(|w| w.idx()),
+    )
 }
 
 #[cfg(test)]

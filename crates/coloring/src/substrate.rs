@@ -89,7 +89,7 @@ impl BroadcastState {
             informed
                 .iter()
                 .map(|u| NodeId(u as u32))
-                .filter(|&u| topo.neighbor_set(u).intersects(uninformed)),
+                .filter(|&u| topo.neighbors_in(u, uninformed).next().is_some()),
         );
     }
 
@@ -105,7 +105,7 @@ impl BroadcastState {
         self.load_sets(topo, informed);
         let (uninformed, candidates) = (&self.uninformed, &mut self.candidates);
         candidates.extend(informed.iter().map(|u| NodeId(u as u32)).filter(|&u| {
-            wake.can_send(u.idx(), slot) && topo.neighbor_set(u).intersects(uninformed)
+            wake.can_send(u.idx(), slot) && topo.neighbors_in(u, uninformed).next().is_some()
         }));
     }
 

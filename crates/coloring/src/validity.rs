@@ -72,7 +72,7 @@ pub fn validate_coloring(
                 return Err(ColoringViolation::NotInformed(u));
             }
             // Constraint 2: ∃v ∈ N(u) with v ∈ W̄.
-            if !topo.neighbor_set(u).intersects(&uninformed) {
+            if topo.neighbors_in(u, &uninformed).next().is_none() {
                 return Err(ColoringViolation::NoUninformedNeighbor(u));
             }
         }

@@ -162,16 +162,16 @@ pub fn run_pipeline_model<S: WakeSchedule, C: ColorSelector, M: ConflictModel>(
             (sorted, Vec::new())
         };
 
-        let mut advance = NodeSet::new(n);
+        let mut covered_new = false;
         for &u in &senders {
-            advance.union_with(topo.neighbor_set(u));
+            for &w in topo.neighbors(u) {
+                if informed.insert(w.idx()) {
+                    receive_slot[w.idx()] = t;
+                    covered_new = true;
+                }
+            }
         }
-        advance.difference_with(&informed);
-        debug_assert!(!advance.is_empty(), "a color always covers someone new");
-        for w in advance.iter() {
-            receive_slot[w] = t;
-        }
-        informed.union_with(&advance);
+        debug_assert!(covered_new, "a color always covers someone new");
 
         entries.push(ScheduleEntry {
             slot: t,

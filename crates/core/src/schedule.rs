@@ -289,9 +289,7 @@ impl Schedule {
         informed.insert(self.source.idx());
         for entry in self.entries.iter().take(k) {
             for &u in &entry.senders {
-                let mut recv = topo.neighbor_set(u).clone();
-                recv.difference_with(&informed);
-                informed.union_with(&recv);
+                topo.insert_neighbors(u, &mut informed);
             }
         }
         informed

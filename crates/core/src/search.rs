@@ -456,7 +456,11 @@ impl PhaseFolder {
     fn prepare(&mut self, topo: &Topology, informed: &NodeSet) {
         self.relevant.clear();
         for u in 0..topo.len() {
-            if !topo.neighbor_set(NodeId(u as u32)).is_subset(informed) {
+            if topo
+                .neighbors(NodeId(u as u32))
+                .iter()
+                .any(|v| !informed.contains(v.idx()))
+            {
                 self.relevant.insert(u);
             }
         }
@@ -765,7 +769,13 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                 sets.sort_by_key(|set| {
                     std::cmp::Reverse(
                         set.iter()
-                            .map(|&u| self.topo.neighbor_set(u).difference_len(informed))
+                            .map(|&u| {
+                                self.topo
+                                    .neighbors(u)
+                                    .iter()
+                                    .filter(|v| !informed.contains(v.idx()))
+                                    .count()
+                            })
                             .sum::<usize>(),
                     )
                 });
@@ -778,7 +788,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                     .map(|set| {
                         scratch.clear();
                         for &u in &set {
-                            scratch.union_with(topo.neighbor_set(u));
+                            topo.insert_neighbors(u, scratch);
                         }
                         scratch.difference_with(informed);
                         let score: u64 = scratch.iter().map(|v| 1 + dist[v] as u64).sum();
@@ -977,7 +987,7 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
         for (bi, branch) in branches.iter().enumerate() {
             let mut next = informed.clone();
             for &u in &branch.senders {
-                next.union_with(self.topo.neighbor_set(u));
+                self.topo.insert_neighbors(u, &mut next);
             }
             if self.use_dominance && evaluated.iter().any(|prev| next.is_subset(prev)) {
                 // Sibling dominance: an already-evaluated branch covers at
@@ -1178,15 +1188,13 @@ impl<'a, S: WakeSchedule, M: ConflictModel> Searcher<'a, S, M> {
                     .expect("non-empty");
                 continue;
             }
-            let mut advance = NodeSet::new(n);
             for &u in entry.iter() {
-                advance.union_with(self.topo.neighbor_set(u));
+                for &w in self.topo.neighbors(u) {
+                    if informed.insert(w.idx()) {
+                        receive_slot[w.idx()] = t;
+                    }
+                }
             }
-            advance.difference_with(&informed);
-            for w in advance.iter() {
-                receive_slot[w] = t;
-            }
-            informed.union_with(&advance);
             entries.push(ScheduleEntry {
                 slot: t,
                 senders: entry.to_vec(),

@@ -26,9 +26,9 @@
 //!
 //! Retested pairs get their witness set computed once and cached for the
 //! lifetime of an instance, so a retest scans a handful of witness nodes
-//! instead of re-evaluating the predicate (for the protocol model below
-//! [`WITNESS_RETEST_MIN_UNIVERSE`] the fused word-parallel triple
-//! intersection is faster and the cache stays cold; SINR-style models,
+//! instead of re-evaluating the predicate (for the protocol model outside
+//! the [`WITNESS_RETEST_MIN_UNIVERSE`] band the predicate's sorted merge
+//! of two neighbor lists is used and the cache stays cold; SINR-style models,
 //! whose predicate costs gain arithmetic, always prefer the cache). The
 //! witness lists themselves live in one grow-only arena (`Vec<u32>`) with
 //! the map holding `(offset, len)` handles — cold population appends to a
@@ -87,12 +87,9 @@ impl ConflictStats {
 const NO_SLOT: u32 = u32::MAX;
 
 /// Default universe size (in nodes) above which retests go through the
-/// cached witness sets. Below it a `NodeSet` spans only a few words and the
-/// fused triple intersection is faster than any cache (measured on the
-/// paper grid); above it witness scans avoid touching ever-wider word rows
-/// — up to the point where the predicate's own degree-local path takes
-/// over (universe > 64·(deg u + deg v), re-measured at 10k nodes in
-/// `BENCH_anytime.json`), past which retests go fresh again.
+/// cached witness sets, up to universe > 64·(deg u + deg v), past which
+/// retests go fresh again (re-measured at 10k nodes in
+/// `BENCH_anytime.json`).
 /// Tunable per builder via
 /// [`ConflictGraphBuilder::set_witness_retest_min_universe`]; the
 /// `witness_threshold` group in the `substrates` bench measures both sides
@@ -418,13 +415,11 @@ impl ConflictGraphBuilder {
         unf: &NodeSet,
     ) -> bool {
         if !model.prefers_witness_cache() && self.witness_min_universe > 0 {
-            // The fresh predicate wins on both sides of the cache band:
-            // below `witness_min_universe` the fused bitset intersection
-            // spans only a few words, and above 64·(deg u + deg v) the
-            // protocol predicate switches to its degree-local sorted-merge
-            // path — O(du+dv) regardless of universe width — which the 10k
-            // crossover re-measurement (BENCH_anytime.json) shows beating
-            // cached witness scans. Forcing via the knob still works:
+            // Outside the cache band the fresh predicate, a sorted merge
+            // of the two neighbor lists (O(du+dv) regardless of universe
+            // width), is used; the 10k crossover re-measurement
+            // (BENCH_anytime.json) shows it beating cached witness scans
+            // above 64·(deg u + deg v). Forcing via the knob still works:
             // 0 = always cache, `usize::MAX` = never.
             let degree_local = self.universe > 64 * (topo.degree(u) + topo.degree(v));
             if self.universe < self.witness_min_universe || degree_local {

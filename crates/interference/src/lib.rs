@@ -39,8 +39,7 @@ use wsn_topology::{NodeId, Topology};
 /// some member of `uninformed` (the paper's signal-conflict predicate).
 #[inline]
 pub fn conflicts(topo: &Topology, u: NodeId, v: NodeId, uninformed: &NodeSet) -> bool {
-    topo.neighbor_set(u)
-        .triple_intersects(topo.neighbor_set(v), uninformed)
+    wsn_phy::ProtocolModel.conflicts(topo, u, v, uninformed)
 }
 
 /// The conflict relation over an ordered candidate sender list.
@@ -59,8 +58,8 @@ pub struct ConflictGraph {
 impl ConflictGraph {
     /// Builds the conflict graph of `candidates` against the uninformed set.
     ///
-    /// `O(k²)` pairwise tests, each a fused word-parallel triple
-    /// intersection; `k` (simultaneous eligible senders) is small compared
+    /// `O(k²)` pairwise tests, each a sorted merge of two neighbor lists
+    /// (`O(deg u + deg v)`); `k` (simultaneous eligible senders) is small compared
     /// to `n` in every workload the paper evaluates. Hot loops that build
     /// graphs per search state should prefer a reused
     /// [`ConflictGraphBuilder`] instead.

@@ -170,6 +170,29 @@ pub trait ConflictModel: Clone + Send + Sync {
     }
 }
 
+/// Sorted-merge walk over the common neighbors `N(u) ∩ N(v)` in ascending
+/// order, calling `visit` on each until it returns `true` (the result).
+/// O(deg u + deg v), independent of the universe size.
+#[inline]
+fn common_neighbors(
+    topo: &Topology,
+    u: NodeId,
+    v: NodeId,
+    mut visit: impl FnMut(NodeId) -> bool,
+) -> bool {
+    let (a, b) = (topo.neighbors(u), topo.neighbors(v));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x == y && visit(x) {
+            return true;
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    false
+}
+
 /// The paper's protocol (UDG) interference model.
 ///
 /// Conflict: `N(u) ∩ N(v) ∩ W̄ ≠ ∅` (Eq. 1, constraint 3). Reception: an
@@ -193,63 +216,15 @@ impl ConflictModel for ProtocolModel {
 
     #[inline]
     fn conflicts(&self, topo: &Topology, u: NodeId, v: NodeId, uninformed: &NodeSet) -> bool {
-        // Two equivalent evaluations: a word-parallel triple intersection
-        // (O(n/64), unbeatable on the paper-scale universes) and a sorted
-        // merge of the two neighbor lists (O(deg u + deg v), the winner on
-        // the 10k–100k-node universes where a bitset pass would touch
-        // thousands of words per pair test).
-        let (du, dv) = (topo.degree(u), topo.degree(v));
-        if topo.len() > 64 * (du + dv) {
-            let mut a = topo.neighbors(u).iter();
-            let mut b = topo.neighbors(v).iter();
-            let (mut x, mut y) = (a.next(), b.next());
-            while let (Some(&i), Some(&j)) = (x, y) {
-                match i.cmp(&j) {
-                    std::cmp::Ordering::Less => x = a.next(),
-                    std::cmp::Ordering::Greater => y = b.next(),
-                    std::cmp::Ordering::Equal => {
-                        if uninformed.contains(i.idx()) {
-                            return true;
-                        }
-                        x = a.next();
-                        y = b.next();
-                    }
-                }
-            }
-            false
-        } else {
-            topo.neighbor_set(u)
-                .triple_intersects(topo.neighbor_set(v), uninformed)
-        }
+        common_neighbors(topo, u, v, |w| uninformed.contains(w.idx()))
     }
 
     fn collect_witnesses(&self, topo: &Topology, u: NodeId, v: NodeId, out: &mut Vec<u32>) {
         out.clear();
-        let (du, dv) = (topo.degree(u), topo.degree(v));
-        if topo.len() > 64 * (du + dv) {
-            // Sorted-merge common neighbors — same degree-local trade-off
-            // as `conflicts` above; output stays ascending.
-            let mut a = topo.neighbors(u).iter();
-            let mut b = topo.neighbors(v).iter();
-            let (mut x, mut y) = (a.next(), b.next());
-            while let (Some(&i), Some(&j)) = (x, y) {
-                match i.cmp(&j) {
-                    std::cmp::Ordering::Less => x = a.next(),
-                    std::cmp::Ordering::Greater => y = b.next(),
-                    std::cmp::Ordering::Equal => {
-                        out.push(i.0);
-                        x = a.next();
-                        y = b.next();
-                    }
-                }
-            }
-            return;
-        }
-        let nu = topo.neighbor_set(u);
-        let nv = topo.neighbor_set(v);
-        if nu.intersects(nv) {
-            out.extend(nu.intersection(nv).iter().map(|w| w as u32));
-        }
+        common_neighbors(topo, u, v, |w| {
+            out.push(w.0);
+            false
+        });
     }
 
     fn resolve_receptions(
@@ -342,41 +317,116 @@ mod tests {
         assert_eq!(out.received.to_vec(), vec![4]);
     }
 
+    /// `n` points scattered uniformly over a `side`² square (LCG stream).
+    fn scatter(seed: u64, n: usize, side: f64) -> Vec<Point> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        (0..n)
+            .map(|_| Point::new(next() * side, next() * side))
+            .collect()
+    }
+
     #[test]
-    fn degree_local_paths_match_bitset_paths() {
-        // A long sparse line puts the adaptive predicate on the sorted-merge
-        // path (n ≫ 64·(deg u + deg v)); the bitset evaluation is the
-        // ground truth it must reproduce, witnesses and booleans alike.
-        let n = 2_000;
-        let t = Topology::unit_disk(
-            (0..n).map(|i| Point::new(i as f64 * 0.8, 0.0)).collect(),
-            1.0,
-        );
-        let m = ProtocolModel;
-        let unf = NodeSet::from_indices(n, (0..n).filter(|i| i % 3 != 0));
+    fn sparse_paths_match_dense_oracle() {
+        // The reference is built here from O(n²) distances: dense `N(u)`
+        // masks, and for SINR raw `d^−α` gains with every sender checked
+        // against every receiver. Nothing is shared with the CSR, the
+        // grid scan or the gain table the models read.
+        let (n, r) = (120, 6.0);
         let mut wit = Vec::new();
-        for u in 0..40u32 {
-            for v in (u + 1)..40 {
-                let (nu, nv) = (t.neighbor_set(NodeId(u)), t.neighbor_set(NodeId(v)));
-                assert_eq!(
-                    m.conflicts(&t, NodeId(u), NodeId(v), &unf),
-                    nu.triple_intersects(nv, &unf),
-                    "pair ({u},{v})"
-                );
-                m.collect_witnesses(&t, NodeId(u), NodeId(v), &mut wit);
-                let want: Vec<u32> = nu.intersection(nv).iter().map(|w| w as u32).collect();
-                assert_eq!(wit, want, "pair ({u},{v})");
+        for seed in 1..=3u64 {
+            let pts = scatter(seed, n, 40.0);
+            let t = Topology::unit_disk(pts.clone(), r);
+            let d2 = |a: usize, b: usize| pts[a].dist2(&pts[b]);
+            let dense: Vec<NodeSet> = (0..n)
+                .map(|u| NodeSet::from_indices(n, (0..n).filter(|&v| v != u && d2(u, v) <= r * r)))
+                .collect();
+            let coin = scatter(seed + 100, n, 1.0);
+            let unf = NodeSet::from_indices(n, (0..n).filter(|&i| coin[i].x < 0.5));
+            let senders =
+                NodeSet::from_indices(n, (0..n).filter(|&i| !unf.contains(i) && coin[i].y < 0.3));
+            let id = |i: usize| NodeId(i as u32);
+
+            let m = ProtocolModel;
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    let common = dense[u].intersection(&dense[v]);
+                    let want: Vec<u32> = common.iter().map(|w| w as u32).collect();
+                    assert_eq!(
+                        m.conflicts(&t, id(u), id(v), &unf),
+                        common.intersects(&unf),
+                        "seed {seed} pair ({u},{v})"
+                    );
+                    m.collect_witnesses(&t, id(u), id(v), &mut wit);
+                    assert_eq!(wit, want, "seed {seed} pair ({u},{v})");
+                }
             }
-        }
-        // The counter-based reception sweep agrees with a per-receiver scan.
-        let senders = NodeSet::from_indices(n, (0..n).filter(|i| i % 3 == 0));
-        let out = m.resolve_receptions(&t, &senders, &unf);
-        for w in 0..n {
-            let heard = t.neighbor_set(NodeId(w as u32)).intersection_len(&senders);
-            let expect_recv = unf.contains(w) && heard == 1;
-            let expect_coll = unf.contains(w) && heard >= 2;
-            assert_eq!(out.received.contains(w), expect_recv, "node {w}");
-            assert_eq!(out.collided.contains(w), expect_coll, "node {w}");
+            let out = m.resolve_receptions(&t, &senders, &unf);
+            for (w, nw) in dense.iter().enumerate() {
+                let heard = nw.intersection_len(&senders);
+                assert_eq!(out.received.contains(w), unf.contains(w) && heard == 1);
+                assert_eq!(out.collided.contains(w), unf.contains(w) && heard >= 2);
+            }
+
+            let mut noisy = SinrParams::calibrated(r, 3.0, 1.5);
+            noisy.noise *= 1.5;
+            for params in [
+                SinrParams::calibrated(r, 3.0, 1.5),
+                SinrParams::calibrated(r, 4.0, 1.0),
+                SinrParams::degenerate(&t, 4.0),
+                noisy,
+            ] {
+                let sinr = SinrModel::new(params, &t);
+                let gain = |a: usize, w: usize| {
+                    let d = d2(a, w);
+                    if d <= params.cutoff * params.cutoff {
+                        d.powf(-params.alpha / 2.0)
+                    } else {
+                        0.0
+                    }
+                };
+                // Does `w` decode sender `s` with `i` transmitting too?
+                let decodes = |s: usize, i: usize, w: usize| {
+                    params.power * gain(s, w)
+                        >= params.beta * (params.noise + params.power * gain(i, w))
+                };
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        let want: Vec<u32> = (0..n)
+                            .filter(|&w| w != u && w != v)
+                            .filter(|&w| dense[u].contains(w) || dense[v].contains(w))
+                            .filter(|&w| {
+                                !((dense[u].contains(w) && decodes(u, v, w))
+                                    || (dense[v].contains(w) && decodes(v, u, w)))
+                            })
+                            .map(|w| w as u32)
+                            .collect();
+                        sinr.collect_witnesses(&t, id(u), id(v), &mut wit);
+                        assert_eq!(wit, want, "seed {seed} {params:?} pair ({u},{v})");
+                        assert_eq!(
+                            sinr.conflicts(&t, id(u), id(v), &unf),
+                            want.iter().any(|&w| unf.contains(w as usize)),
+                            "seed {seed} {params:?} pair ({u},{v})"
+                        );
+                    }
+                }
+                let out = sinr.resolve_receptions(&t, &senders, &unf);
+                for (w, nw) in dense.iter().enumerate() {
+                    let in_range: Vec<usize> = senders.iter().filter(|&s| nw.contains(s)).collect();
+                    let decoded = in_range
+                        .iter()
+                        .any(|&s| senders.iter().all(|i| i == s || decodes(s, i, w)));
+                    let recv = unf.contains(w) && decoded;
+                    let coll = unf.contains(w) && !decoded && !in_range.is_empty();
+                    assert_eq!(out.received.contains(w), recv, "seed {seed} node {w}");
+                    assert_eq!(out.collided.contains(w), coll, "seed {seed} node {w}");
+                }
+            }
         }
     }
 

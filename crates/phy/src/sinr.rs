@@ -260,32 +260,20 @@ impl ConflictModel for SinrModel {
 
     fn conflicts(&self, topo: &Topology, u: NodeId, v: NodeId, uninformed: &NodeSet) -> bool {
         self.check_topo(topo);
-        let nu = topo.neighbor_set(u);
-        let nv = topo.neighbor_set(v);
-        for w in nu.union(nv).iter() {
-            if w == u.idx() || w == v.idx() || !uninformed.contains(w) {
-                continue;
-            }
-            if self.pair_witness(u, v, w, nu.contains(w), nv.contains(w)) {
-                return true;
-            }
-        }
-        false
+        either_neighbors(topo, u, v, |w, in_u, in_v| {
+            uninformed.contains(w) && self.pair_witness(u, v, w, in_u, in_v)
+        })
     }
 
     fn collect_witnesses(&self, topo: &Topology, u: NodeId, v: NodeId, out: &mut Vec<u32>) {
         self.check_topo(topo);
         out.clear();
-        let nu = topo.neighbor_set(u);
-        let nv = topo.neighbor_set(v);
-        for w in nu.union(nv).iter() {
-            if w == u.idx() || w == v.idx() {
-                continue;
-            }
-            if self.pair_witness(u, v, w, nu.contains(w), nv.contains(w)) {
+        either_neighbors(topo, u, v, |w, in_u, in_v| {
+            if self.pair_witness(u, v, w, in_u, in_v) {
                 out.push(w as u32);
             }
-        }
+            false
+        });
     }
 
     fn resolve_receptions(
@@ -299,24 +287,23 @@ impl ConflictModel for SinrModel {
         let mut received = NodeSet::new(n);
         let mut collided = NodeSet::new(n);
         let sender_ids: Vec<NodeId> = senders.iter().map(|s| NodeId(s as u32)).collect();
-        for w in uninformed.iter() {
-            let nw = topo.neighbor_set(NodeId(w as u32));
-            let mut in_range = false;
-            let mut decoded = false;
-            for &s in &sender_ids {
-                if !nw.contains(s.idx()) {
+        // Only uninformed nodes next to a sender can hear anything, so the
+        // sweep walks the senders' neighbor lists (as the protocol model's
+        // counter sweep does) instead of testing every uninformed node.
+        for &s in &sender_ids {
+            for w in topo.neighbors_in(s, uninformed) {
+                let w = w.idx();
+                if received.contains(w) || collided.contains(w) {
                     continue;
                 }
-                in_range = true;
-                if sender_ids.iter().all(|&i| i == s || self.decodes(s, i, w)) {
-                    decoded = true;
-                    break;
+                let decoded = topo
+                    .neighbors_in(NodeId(w as u32), senders)
+                    .any(|s| sender_ids.iter().all(|&i| i == s || self.decodes(s, i, w)));
+                if decoded {
+                    received.insert(w);
+                } else {
+                    collided.insert(w);
                 }
-            }
-            if decoded {
-                received.insert(w);
-            } else if in_range {
-                collided.insert(w);
             }
         }
         ReceptionOutcome { received, collided }
@@ -337,6 +324,35 @@ impl ConflictModel for SinrModel {
         self.delivers(topo.radius().powf(-self.params.alpha), 0.0)
             .then_some(topo.radius() + self.params.cutoff)
     }
+}
+
+/// Sorted-merge walk over `N(u) ∪ N(v) − {u, v}` in ascending order,
+/// calling `visit(w, w ∈ N(u), w ∈ N(v))` until it returns `true` (the
+/// result). O(deg u + deg v), independent of the universe size.
+#[inline]
+fn either_neighbors(
+    topo: &Topology,
+    u: NodeId,
+    v: NodeId,
+    mut visit: impl FnMut(usize, bool, bool) -> bool,
+) -> bool {
+    let (a, b) = (topo.neighbors(u), topo.neighbors(v));
+    let (mut i, mut j) = (0, 0);
+    let end = NodeId(u32::MAX);
+    while i < a.len() || j < b.len() {
+        let (x, y) = (
+            a.get(i).copied().unwrap_or(end),
+            b.get(j).copied().unwrap_or(end),
+        );
+        let w = x.min(y);
+        let (in_u, in_v) = (x == w, y == w);
+        i += usize::from(in_u);
+        j += usize::from(in_v);
+        if w != u && w != v && visit(w.idx(), in_u, in_v) {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

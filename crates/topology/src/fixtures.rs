@@ -182,8 +182,7 @@ mod tests {
         for (a, b) in [("0", "1"), ("0", "2"), ("1", "2")] {
             let (ia, ib) = (f.id(a), f.id(b));
             assert!(
-                f.topo.neighbor_set(ia).contains(three.idx())
-                    && f.topo.neighbor_set(ib).contains(three.idx()),
+                f.topo.adjacent(ia, three) && f.topo.adjacent(ib, three),
                 "3 must be a common neighbor of {a} and {b}"
             );
         }
@@ -210,11 +209,11 @@ mod tests {
         // Nodes 2 and 3 share the uninformed neighbor 4 (the "conflict at
         // u4" of Figure 2 (a)).
         let f = fig2a();
-        let common = f
-            .topo
-            .neighbor_set(f.id("2"))
-            .intersection(f.topo.neighbor_set(f.id("3")));
-        assert_eq!(common.to_vec(), vec![f.id("1").idx(), f.id("4").idx()]);
+        let (two, three) = (f.id("2"), f.id("3"));
+        let common: Vec<NodeId> = (f.topo.neighbors(two).iter().copied())
+            .filter(|&w| f.topo.adjacent(three, w))
+            .collect();
+        assert_eq!(common, vec![f.id("1"), f.id("4")]);
     }
 
     #[test]

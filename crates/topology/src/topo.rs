@@ -6,19 +6,16 @@ use wsn_geom::{CellGrid, Point, Quadrant};
 
 /// A WSN topology under the unit-disk-graph model.
 ///
-/// Owns the node positions, the communication radius, the CSR adjacency and
-/// one [`NodeSet`] neighbor mask per node. The neighbor masks are what the
-/// schedulers consume: every interference predicate in the paper is a set
-/// expression over `N(u)` masks and the informed set `W`.
+/// Owns the node positions, the communication radius and the CSR adjacency,
+/// nothing else, so memory is linear in `n + edges`. Schedulers read `N(u)`
+/// as a sorted slice ([`Topology::neighbors`]) and evaluate the paper's set
+/// expressions over it against caller-owned [`NodeSet`]s such as the
+/// informed set `W`.
 #[derive(Clone, Debug)]
 pub struct Topology {
     positions: Vec<Point>,
     radius: f64,
     csr: Csr,
-    /// `neighbor_sets[u]` = `N(u)` as a bitset (excludes `u` itself).
-    neighbor_sets: Vec<NodeSet>,
-    /// `closed_sets[u]` = `N[u] = N(u) ∪ {u}`, used by coverage checks.
-    closed_sets: Vec<NodeSet>,
     /// Process-unique identity token (clones share it — their adjacency is
     /// identical). Lets per-topology caches detect a swap to a *different*
     /// topology that happens to have the same node count.
@@ -27,11 +24,6 @@ pub struct Topology {
 
 /// Source of [`Topology::token`] values; 0 is reserved for "no topology".
 static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-/// Node count below which [`Topology::unit_disk_parallel`] takes the serial
-/// path: deriving one node's neighbor list costs a 3×3 grid-cell scan, so a
-/// few thousand nodes finish faster than threads can be spawned.
-const PARALLEL_BUILD_MIN_NODES: usize = 4_096;
 
 impl Topology {
     /// Builds the UDG topology of `positions` with communication `radius`.
@@ -64,83 +56,6 @@ impl Topology {
         Self::from_parts(positions, radius, Csr::from_edges(n, &edges))
     }
 
-    /// Parallel counterpart of [`Topology::unit_disk`]: grid binning and
-    /// per-node neighbor discovery are partitioned over contiguous node
-    /// ranges on `threads` scoped threads, and the per-range results are
-    /// stitched back in node order, so the adjacency (CSR and neighbor
-    /// masks) is bit-identical to the serial build. Only the identity
-    /// token differs — tokens are construction-unique by design.
-    ///
-    /// Small instances (or `threads <= 1`) take the serial path untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Topology::unit_disk`].
-    pub fn unit_disk_parallel(positions: Vec<Point>, radius: f64, threads: usize) -> Self {
-        let n = positions.len();
-        if threads <= 1 || n < PARALLEL_BUILD_MIN_NODES {
-            return Self::unit_disk(positions, radius);
-        }
-        assert!(radius > 0.0, "radius must be positive");
-        assert!(
-            positions.iter().all(|p| p.x.is_finite() && p.y.is_finite()),
-            "positions must be finite"
-        );
-
-        let grid = CellGrid::build_parallel(&positions, radius, threads);
-        let chunk = n.div_ceil(threads);
-        type RangeBuild = (Vec<Vec<NodeId>>, Vec<(NodeSet, NodeSet)>);
-        let mut per_range: Vec<RangeBuild> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(n);
-                    let hi = ((t + 1) * chunk).min(n);
-                    let grid = &grid;
-                    let positions = &positions;
-                    scope.spawn(move || {
-                        let mut lists = Vec::with_capacity(hi - lo);
-                        let mut sets = Vec::with_capacity(hi - lo);
-                        for u in lo..hi {
-                            let ns = grid.neighbors_within(positions, u as u32, radius);
-                            let mut s = NodeSet::new(n);
-                            for &v in &ns {
-                                s.insert(v as usize);
-                            }
-                            let mut c = s.clone();
-                            c.insert(u);
-                            lists.push(ns.into_iter().map(NodeId).collect::<Vec<NodeId>>());
-                            sets.push((s, c));
-                        }
-                        (lists, sets)
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_range.push(h.join().expect("adjacency build worker panicked"));
-            }
-        });
-
-        let mut lists = Vec::with_capacity(n);
-        let mut neighbor_sets = Vec::with_capacity(n);
-        let mut closed_sets = Vec::with_capacity(n);
-        for (range_lists, range_sets) in per_range {
-            lists.extend(range_lists);
-            for (s, c) in range_sets {
-                neighbor_sets.push(s);
-                closed_sets.push(c);
-            }
-        }
-        Topology {
-            positions,
-            radius,
-            csr: Csr::from_neighbor_lists(&lists),
-            neighbor_sets,
-            closed_sets,
-            token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-
     /// Builds a topology from an explicit edge list, bypassing the UDG rule.
     ///
     /// Used by tests that need a specific graph regardless of geometry; the
@@ -152,25 +67,10 @@ impl Topology {
     }
 
     fn from_parts(positions: Vec<Point>, radius: f64, csr: Csr) -> Self {
-        let n = positions.len();
-        let mut neighbor_sets = Vec::with_capacity(n);
-        let mut closed_sets = Vec::with_capacity(n);
-        for u in 0..n {
-            let mut s = NodeSet::new(n);
-            for &v in csr.neighbors_of(NodeId(u as u32)) {
-                s.insert(v.idx());
-            }
-            let mut c = s.clone();
-            c.insert(u);
-            neighbor_sets.push(s);
-            closed_sets.push(c);
-        }
         Topology {
             positions,
             radius,
             csr,
-            neighbor_sets,
-            closed_sets,
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -228,16 +128,25 @@ impl Topology {
         self.csr.neighbors_of(u)
     }
 
-    /// Neighbor mask `N(u)` as a bitset.
+    /// Inserts every member of `N(u)` into `set`.
     #[inline]
-    pub fn neighbor_set(&self, u: NodeId) -> &NodeSet {
-        &self.neighbor_sets[u.idx()]
+    pub fn insert_neighbors(&self, u: NodeId, set: &mut NodeSet) {
+        for &v in self.neighbors(u) {
+            set.insert(v.idx());
+        }
     }
 
-    /// Closed neighbor mask `N[u] = N(u) ∪ {u}`.
+    /// The neighbors of `u` that belong to `set` (`N(u) ∩ set`), ascending.
     #[inline]
-    pub fn closed_neighbor_set(&self, u: NodeId) -> &NodeSet {
-        &self.closed_sets[u.idx()]
+    pub fn neighbors_in<'a>(
+        &'a self,
+        u: NodeId,
+        set: &'a NodeSet,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.neighbors(u)
+            .iter()
+            .copied()
+            .filter(move |v| set.contains(v.idx()))
     }
 
     /// Degree of `u`.
@@ -318,13 +227,40 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_sets_mirror_csr() {
-        let t = square_topo();
+    fn neighbors_match_brute_force_masks() {
+        // Dense reference masks built here from O(n²) distances, not from
+        // the grid scan: slices and both set helpers must reproduce them.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let pts: Vec<Point> = (0..150)
+            .map(|_| Point::new(next() * 40.0, next() * 40.0))
+            .collect();
+        let n = pts.len();
+        let t = Topology::unit_disk(pts.clone(), 6.0);
+        let dense: Vec<NodeSet> = (0..n)
+            .map(|u| {
+                NodeSet::from_indices(
+                    n,
+                    (0..n).filter(|&v| v != u && pts[u].dist2(&pts[v]) <= 36.0),
+                )
+            })
+            .collect();
+        let probe = NodeSet::from_indices(n, (0..n).filter(|i| i % 3 != 1));
         for u in t.nodes() {
             let from_csr: Vec<usize> = t.neighbors(u).iter().map(|v| v.idx()).collect();
-            assert_eq!(t.neighbor_set(u).to_vec(), from_csr);
-            assert!(t.closed_neighbor_set(u).contains(u.idx()));
-            assert_eq!(t.closed_neighbor_set(u).len(), from_csr.len() + 1);
+            assert_eq!(dense[u.idx()].to_vec(), from_csr, "N({u})");
+            let mut closed = NodeSet::from_indices(n, [u.idx()]);
+            t.insert_neighbors(u, &mut closed);
+            assert_eq!(closed.len(), from_csr.len() + 1);
+            closed.remove(u.idx());
+            assert_eq!(closed, dense[u.idx()]);
+            let inside: Vec<usize> = t.neighbors_in(u, &probe).map(|v| v.idx()).collect();
+            assert_eq!(inside, dense[u.idx()].intersection(&probe).to_vec());
         }
     }
 
@@ -385,29 +321,6 @@ mod tests {
     #[should_panic(expected = "radius must be positive")]
     fn zero_radius_rejected() {
         Topology::unit_disk(vec![Point::new(0.0, 0.0)], 0.0);
-    }
-
-    #[test]
-    fn parallel_unit_disk_is_bit_identical_to_serial() {
-        // Enough nodes to clear the PARALLEL_BUILD_MIN_NODES gate.
-        let mut state = 0xfeed_beefu64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let pts: Vec<Point> = (0..PARALLEL_BUILD_MIN_NODES + 200)
-            .map(|_| Point::new(next() * 100.0, next() * 100.0))
-            .collect();
-        let serial = Topology::unit_disk(pts.clone(), 2.5);
-        for threads in [1, 2, 4] {
-            let par = Topology::unit_disk_parallel(pts.clone(), 2.5, threads);
-            assert_eq!(par.csr(), serial.csr(), "threads {threads}");
-            assert_eq!(par.neighbor_sets, serial.neighbor_sets);
-            assert_eq!(par.closed_sets, serial.closed_sets);
-            assert_ne!(par.token(), serial.token(), "tokens are per-construction");
-        }
     }
 
     #[test]

@@ -34,8 +34,9 @@ fn brute_force_optimum(topo: &Topology, source: NodeId) -> u64 {
             let clean = senders.iter().enumerate().all(|(a, &u)| {
                 senders[a + 1..].iter().all(|&v| {
                     !topo
-                        .neighbor_set(u)
-                        .triple_intersects(topo.neighbor_set(v), &uninformed)
+                        .neighbors(u)
+                        .iter()
+                        .any(|&w| uninformed.contains(w.idx()) && topo.adjacent(v, w))
                 })
             });
             if !clean {
@@ -43,7 +44,7 @@ fn brute_force_optimum(topo: &Topology, source: NodeId) -> u64 {
             }
             let mut next = informed.clone();
             for &u in &senders {
-                next.union_with(topo.neighbor_set(u));
+                topo.insert_neighbors(u, &mut next);
             }
             if next.len() == informed.len() {
                 continue; // no progress — never useful

@@ -50,7 +50,7 @@ proptest! {
             let best_of = |class: &Vec<NodeId>| {
                 class
                     .iter()
-                    .map(|&u| topo.neighbor_set(u).intersection_len(&uninformed))
+                    .map(|&u| topo.neighbors_in(u, &uninformed).count())
                     .max()
                     .unwrap_or(0)
             };
